@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import CoverageError
 from repro.ir.dag import BlockDAG
@@ -114,7 +114,11 @@ class Task:
 
 
 class TaskGraph:
-    """The schedulable form of one assignment (mutable under spilling)."""
+    """The schedulable form of one assignment (mutable under spilling).
+
+    Change ``tasks`` and task ``reads`` only through this class's
+    methods: they drop the consumer index behind :meth:`consumers_of`.
+    """
 
     def __init__(
         self,
@@ -122,12 +126,60 @@ class TaskGraph:
         assignment: Assignment,
         pin_value: Optional[int] = None,
     ):
+        self._init_state(sn, assignment, IdAllocator())
+        self._build(pin_value)
+
+    @classmethod
+    def from_tasks(
+        cls,
+        sn: SplitNodeDAG,
+        assignment: Assignment,
+        tasks: Iterable[Task],
+        *,
+        next_task_id: int,
+        bus_load: Dict[str, int],
+        pinned: Iterable[int],
+        condition_read: Optional[ReadRef],
+        spill_count: int,
+        reload_count: int,
+    ) -> "TaskGraph":
+        """A graph holding already-built ``tasks`` (a decoded cache entry).
+
+        Nothing is rebuilt from ``assignment``: the tasks, bus loads,
+        pins and spill counters are taken as given, and ``_delivered``
+        stays empty because it only matters during construction.
+        """
+        graph = cls.__new__(cls)
+        graph._init_state(sn, assignment, IdAllocator(next_task_id))
+        for task in tasks:
+            graph.tasks[task.task_id] = task
+        graph._bus_load.update(bus_load)
+        graph.pinned = set(pinned)
+        graph.condition_read = condition_read
+        graph.spill_count = spill_count
+        graph.reload_count = reload_count
+        return graph
+
+    def __getstate__(self) -> dict:
+        # The consumer index is derived: copies (memo clones) and pickles
+        # leave it behind and rebuild it on first use.
+        state = self.__dict__.copy()
+        state["_consumers"] = None
+        return state
+
+    def _init_state(
+        self, sn: SplitNodeDAG, assignment: Assignment, ids: IdAllocator
+    ) -> None:
         self.sn = sn
         self.machine: Machine = sn.machine
         self.dag: BlockDAG = sn.dag
         self.assignment = assignment
         self.tasks: Dict[int, Task] = {}
-        self._ids = IdAllocator()
+        self._ids = ids
+        #: producer task id -> ascending ids of the tasks that read it;
+        #: built on first use and dropped by every mutation of ``tasks``
+        #: or of a task's ``reads`` (see :meth:`consumers_of`).
+        self._consumers: Optional[Dict[int, List[int]]] = None
         #: (value original id, storage) -> delivering task id; a value may
         #: be re-delivered after a spill, in which case this tracks the
         #: *latest* delivery (used only during construction).
@@ -142,7 +194,6 @@ class TaskGraph:
         #: how the terminator's control slot reads its condition value
         #: (set by pinning; None for straight-line blocks).
         self.condition_read: Optional[ReadRef] = None
-        self._build(pin_value)
 
     # ------------------------------------------------------------------
     # Construction
@@ -473,7 +524,25 @@ class TaskGraph:
     def _new_task(self, **kwargs) -> int:
         task_id = self._ids.allocate()
         self.tasks[task_id] = Task(task_id=task_id, **kwargs)
+        self._consumers = None
         return task_id
+
+    # ------------------------------------------------------------------
+    # Mutation (every change to ``tasks`` or to a task's ``reads`` goes
+    # through a method of this class, so the consumer index stays true)
+    # ------------------------------------------------------------------
+
+    def rewire_reads(self, task_id: int, reads: Iterable[ReadRef]) -> None:
+        """Replace the values ``task_id`` consumes with ``reads``."""
+        self.tasks[task_id].reads = tuple(reads)
+        self._consumers = None
+
+    def remove_tasks(self, task_ids: Iterable[int]) -> None:
+        """Delete tasks.  Their readers are left to the caller to rewire;
+        bus loads and spill counters are not adjusted."""
+        for task_id in task_ids:
+            del self.tasks[task_id]
+        self._consumers = None
 
     # ------------------------------------------------------------------
     # Queries
@@ -507,12 +576,23 @@ class TaskGraph:
         }
 
     def consumers_of(self, task_id: int) -> List[int]:
-        """Tasks that read the delivery made by ``task_id``."""
-        result = []
-        for other_id in self.task_ids():
-            if any(r.producer == task_id for r in self.tasks[other_id].reads):
-                result.append(other_id)
-        return result
+        """Tasks that read the delivery made by ``task_id``, ascending."""
+        if self._consumers is None:
+            self._consumers = self._index_consumers()
+        return list(self._consumers.get(task_id, ()))
+
+    def _index_consumers(self) -> Dict[int, List[int]]:
+        """One pass over the tasks in id order: each producer's readers,
+        ascending, a task that reads a producer twice listed once."""
+        index: Dict[int, List[int]] = {}
+        for task_id in sorted(self.tasks):
+            for read in self.tasks[task_id].reads:
+                if read.producer is None:
+                    continue
+                readers = index.setdefault(read.producer, [])
+                if not readers or readers[-1] != task_id:
+                    readers.append(task_id)
+        return index
 
     def deliveries_into(self, storage: str) -> List[int]:
         """Tasks that write a value into ``storage``."""
@@ -635,9 +715,12 @@ class TaskGraph:
             consumer = self.tasks[consumer_id]
             if consumer.kind is TaskKind.OP:
                 replacement = reload_into(consumer.dest_storage)
-                consumer.reads = tuple(
-                    replacement if r.producer == delivery_id else r
-                    for r in consumer.reads
+                self.rewire_reads(
+                    consumer_id,
+                    (
+                        replacement if r.producer == delivery_id else r
+                        for r in consumer.reads
+                    ),
                 )
                 continue
             # A pending transfer reading the spilled value out of the
@@ -647,20 +730,22 @@ class TaskGraph:
             if destination == dm:
                 # Store or earlier spill: rewrite to copy straight from
                 # the spill slot in memory.
-                consumer.reads = (memory_read,)
+                self.rewire_reads(consumer_id, (memory_read,))
                 consumer.source_storage = dm
                 consumer.bus = self._dm_bus()
                 consumer.resource = consumer.bus
                 continue
             replacement = reload_into(destination)
             for downstream_id in self.consumers_of(consumer_id):
-                downstream = self.tasks[downstream_id]
-                downstream.reads = tuple(
-                    replacement if r.producer == consumer_id else r
-                    for r in downstream.reads
+                self.rewire_reads(
+                    downstream_id,
+                    (
+                        replacement if r.producer == consumer_id else r
+                        for r in self.tasks[downstream_id].reads
+                    ),
                 )
             self._bus_load[consumer.bus] -= 1
-            del self.tasks[consumer_id]
+            self.remove_tasks((consumer_id,))
         return spill_id, [i for i in new_ids if i in self.tasks]
 
     def validate(self) -> None:

@@ -13,12 +13,17 @@ and register pressure allow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Set
 
 from repro.covering.cliques import is_legal_instruction
 from repro.covering.solution import BlockSolution
-from repro.covering.taskgraph import TaskKind
-from repro.regalloc.liveness import compute_live_ranges, pressure_profile
+from repro.covering.taskgraph import ReadRef
+from repro.regalloc.liveness import (
+    LiveRange,
+    compute_live_ranges,
+    pressure_profile,
+)
 from repro.telemetry.session import current as _telemetry
 
 
@@ -39,6 +44,34 @@ class _SpillGroup:
     spill_chain: List[int]  # hops toward memory, last lands in DM
     reload_chains: List[List[int]]  # each chain's last hop is a delivery
     bank: str
+
+
+class _Liveness:
+    """Live ranges, bank pressure and issue cycles of one schedule.
+
+    Each is computed on first use and stays valid until the schedule or
+    the task graph changes; rejecting a spill group changes neither, so
+    one instance serves every candidate of a fixpoint iteration.
+    """
+
+    def __init__(self, solution: BlockSolution):
+        self.solution = solution
+
+    @cached_property
+    def ranges(self) -> Dict[int, LiveRange]:
+        return compute_live_ranges(self.solution)
+
+    @cached_property
+    def profile(self) -> Dict[str, List[int]]:
+        return pressure_profile(self.solution, self.ranges)
+
+    @cached_property
+    def cycle_of(self) -> Dict[int, int]:
+        return {
+            task_id: cycle
+            for cycle, members in enumerate(self.solution.schedule)
+            for task_id in members
+        }
 
 
 def _collect_spill_groups(solution: BlockSolution) -> List[_SpillGroup]:
@@ -94,7 +127,9 @@ def _collect_spill_groups(solution: BlockSolution) -> List[_SpillGroup]:
     return groups
 
 
-def _group_removable(solution: BlockSolution, group: _SpillGroup) -> bool:
+def _group_removable(
+    solution: BlockSolution, group: _SpillGroup, liveness: _Liveness
+) -> bool:
     """Would keeping the value in its register have fit in the bank?"""
     graph = solution.graph
     bank = group.bank
@@ -119,17 +154,14 @@ def _group_removable(solution: BlockSolution, group: _SpillGroup) -> bool:
             if position == len(group.spill_chain) - 1 and consumer in reload_heads:
                 continue
             return False
-    ranges = compute_live_ranges(solution)
-    profile = pressure_profile(solution)[bank]
+    ranges = liveness.ranges
+    profile = liveness.profile[bank]
     original = ranges.get(group.original_delivery)
     if original is None:
         return False
+    cycle_of = liveness.cycle_of
     # New last use of the original value: every consumer of every reload
     # delivery, plus its current consumers other than the spill.
-    cycle_of: Dict[int, int] = {}
-    for cycle, members in enumerate(solution.schedule):
-        for task_id in members:
-            cycle_of[task_id] = cycle
     new_last = original.def_cycle
     removed = set(group.spill_chain)
     for chain in group.reload_chains:
@@ -174,18 +206,16 @@ def _remove_group(solution: BlockSolution, group: _SpillGroup) -> int:
         for consumer_id in graph.consumers_of(delivery):
             if consumer_id in removed:
                 continue
-            consumer = graph.tasks[consumer_id]
-            new_reads = []
-            for read in consumer.reads:
-                if read.producer == delivery:
-                    from repro.covering.taskgraph import ReadRef
-
-                    new_reads.append(ReadRef(original, bank, read.value))
-                else:
-                    new_reads.append(read)
-            consumer.reads = tuple(new_reads)
-    for task_id in removed:
-        del graph.tasks[task_id]
+            graph.rewire_reads(
+                consumer_id,
+                (
+                    ReadRef(original, bank, read.value)
+                    if read.producer == delivery
+                    else read
+                    for read in graph.tasks[consumer_id].reads
+                ),
+            )
+    graph.remove_tasks(removed)
     solution.schedule = [
         [t for t in members if t not in removed]
         for members in solution.schedule
@@ -278,8 +308,9 @@ def peephole_optimize(
         before = solution.instruction_count
         for _ in range(max_iterations):
             changed = False
+            liveness = _Liveness(solution)
             for group in _collect_spill_groups(solution):
-                if _group_removable(solution, group):
+                if _group_removable(solution, group, liveness):
                     report.spills_removed += 1
                     report.reloads_removed += len(group.reload_chains)
                     _remove_group(solution, group)

@@ -38,13 +38,13 @@ def color_graph(graph: InterferenceGraph) -> Dict[int, int]:
         node = candidates[0]
         remaining.discard(node)
         stack.append(node)
-        for neighbour in graph.neighbours(node):
+        for neighbour in graph.edges[node]:
             if neighbour in remaining:
                 degrees[neighbour] -= 1
     colors: Dict[int, int] = {}
     for node in reversed(stack):
         used = {
-            colors[n] for n in graph.neighbours(node) if n in colors
+            colors[n] for n in graph.edges[node] if n in colors
         }
         for color in range(k):
             if color not in used:

@@ -71,6 +71,8 @@ def build_interference_graphs(
         for i, first in enumerate(bank_ranges):
             graph.add_node(first.delivery)
             for second in bank_ranges[i + 1 :]:
+                if second.def_cycle >= first.last_use_cycle:
+                    break  # sorted by def: no later range can overlap
                 if first.overlaps(second):
                     graph.add_edge(first.delivery, second.delivery)
     return graphs

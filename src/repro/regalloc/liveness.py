@@ -13,7 +13,7 @@ block body) stay live through ``len(schedule)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.covering.solution import BlockSolution
 
@@ -40,7 +40,11 @@ class LiveRange:
 
 
 def compute_live_ranges(solution: BlockSolution) -> Dict[int, LiveRange]:
-    """Live range of every register delivery in the scheduled block."""
+    """Live range of every register delivery in the scheduled block.
+
+    One linear pass: each delivery's consumers come from the task
+    graph's consumer index, each consumer's cycle from ``cycle_of``.
+    """
     graph = solution.graph
     cycle_of: Dict[int, int] = {}
     for cycle, members in enumerate(solution.schedule):
@@ -76,14 +80,18 @@ def compute_live_ranges(solution: BlockSolution) -> Dict[int, LiveRange]:
     return ranges
 
 
-def pressure_profile(solution: BlockSolution) -> Dict[str, List[int]]:
+def pressure_profile(
+    solution: BlockSolution, ranges: Optional[Dict[int, LiveRange]] = None
+) -> Dict[str, List[int]]:
     """Occupancy of each bank at the end of every cycle.
 
     ``profile[bank][t]`` counts values live in ``bank`` after cycle
     ``t`` executed.  Used by the peephole pass to decide whether a
-    spill was actually necessary.
+    spill was actually necessary.  ``ranges`` are the schedule's live
+    ranges when the caller already has them.
     """
-    ranges = compute_live_ranges(solution)
+    if ranges is None:
+        ranges = compute_live_ranges(solution)
     length = len(solution.schedule)
     profile: Dict[str, List[int]] = {
         rf.name: [0] * length for rf in solution.graph.machine.register_files

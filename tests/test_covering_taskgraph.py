@@ -1,15 +1,28 @@
 """Tests for task-graph materialisation and spill insertion (Fig. 9)."""
 
+import collections
+import json
+from pathlib import Path
+
 import pytest
 
+import repro.peephole.optimizer as peephole_optimizer
+from repro.asmgen.program import compile_function
 from repro.covering import (
     HeuristicConfig,
     TaskGraph,
     TaskKind,
     explore_assignments,
 )
+from repro.covering.engine import _clone_solution
+from repro.covering.taskgraph import ReadRef
 from repro.errors import CoverageError
+from repro.eval import WORKLOADS
+from repro.frontend import compile_source
+from repro.fuzz import load_case
 from repro.ir import BlockDAG, Opcode
+from repro.isdl import example_architecture, fig6_architecture, parse_machine
+from repro.serve.codec import solution_from_dict, solution_to_dict
 from repro.sndag import build_split_node_dag
 
 
@@ -257,3 +270,217 @@ class TestSpilling:
         everything = set(graph.task_ids())
         with pytest.raises(CoverageError):
             graph.spill_delivery(delivery, covered=everything)
+
+
+# ----------------------------------------------------------------------
+# The consumer index against a brute-force scan
+# ----------------------------------------------------------------------
+
+REPO = Path(__file__).parent.parent
+CORPUS_FILES = sorted((REPO / "tests" / "corpus").glob("*.json"))
+
+#: Two-register files make both machines spill on every paper example.
+SPILL_MACHINES = {
+    "arch1_r2": lambda: example_architecture(2),
+    "fig6_r2": lambda: fig6_architecture(2),
+}
+
+
+def _scanned_consumers(graph, producer):
+    """Reference: every task reading ``producer``, ascending, by a full
+    scan of the graph."""
+    return [
+        task_id
+        for task_id in sorted(graph.tasks)
+        if any(r.producer == producer for r in graph.tasks[task_id].reads)
+    ]
+
+
+def _assert_index_matches_scan(graph):
+    producers = set(graph.tasks)
+    producers.update(
+        read.producer
+        for task in graph.tasks.values()
+        for read in task.reads
+        if read.producer is not None
+    )
+    for producer in sorted(producers):
+        assert graph.consumers_of(producer) == _scanned_consumers(
+            graph, producer
+        ), f"consumer index is stale for t{producer}"
+
+
+@pytest.fixture
+def checked_mutations(monkeypatch):
+    """Compare the index with the scan after every graph build, and both
+    before and after every spill and peephole group removal.  Checking
+    first builds the index, so a mutation that failed to drop it would
+    leave a stale index behind.  Returns a counter of checked events."""
+    events = collections.Counter()
+    build = TaskGraph.__init__
+    spill = TaskGraph.spill_delivery
+    remove_group = peephole_optimizer._remove_group
+
+    def checked_build(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        _assert_index_matches_scan(self)
+        events["build"] += 1
+
+    def checked_spill(self, delivery_id, covered, ready=None):
+        _assert_index_matches_scan(self)
+        before = {t: task.reads for t, task in self.tasks.items()}
+        result = spill(self, delivery_id, covered, ready)
+        _assert_index_matches_scan(self)
+        events["spill"] += 1
+        if any(t not in self.tasks for t in before):
+            events["spill.pending_transfer"] += 1
+        dm = self.machine.data_memory
+        if any(
+            t in self.tasks
+            and self.tasks[t].dest_storage == dm
+            and self.tasks[t].reads != reads
+            for t, reads in before.items()
+        ):
+            events["spill.store_rewrite"] += 1
+        return result
+
+    def checked_remove_group(solution, group):
+        _assert_index_matches_scan(solution.graph)
+        result = remove_group(solution, group)
+        _assert_index_matches_scan(solution.graph)
+        events["peephole.remove"] += 1
+        return result
+
+    monkeypatch.setattr(TaskGraph, "__init__", checked_build)
+    monkeypatch.setattr(TaskGraph, "spill_delivery", checked_spill)
+    monkeypatch.setattr(
+        peephole_optimizer, "_remove_group", checked_remove_group
+    )
+    return events
+
+
+def _index_cases():
+    for load in WORKLOADS:
+        for machine_name in SPILL_MACHINES:
+            yield pytest.param(
+                "workload", load.name, machine_name,
+                id=f"{load.name}@{machine_name}",
+            )
+    for path in CORPUS_FILES:
+        yield pytest.param("corpus", path.name, None, id=path.stem)
+
+
+def _program(kind, name, machine_name):
+    """``(function, machine, config, expected_error)`` for one case."""
+    if kind == "workload":
+        load = next(w for w in WORKLOADS if w.name == name)
+        function = compile_source(load.source, name=load.name)
+        return function, SPILL_MACHINES[machine_name](), None, None
+    path = REPO / "tests" / "corpus" / name
+    case = load_case(path)
+    outcome = json.loads(path.read_text())["expected"]["outcome"]
+    error = CoverageError if outcome == "coverage" else None
+    return (
+        compile_source(case.source),
+        parse_machine(case.machine_isdl),
+        case.heuristic_config(),
+        error,
+    )
+
+
+class TestConsumerIndex:
+    @pytest.mark.parametrize("kind,name,machine_name", _index_cases())
+    def test_index_matches_scan_through_pipeline(
+        self, checked_mutations, kind, name, machine_name
+    ):
+        function, machine, config, error = _program(kind, name, machine_name)
+        if error is not None:
+            # Covering gives up, but only after spilling: every spill on
+            # the way was still checked.
+            with pytest.raises(error):
+                compile_function(function, machine, config)
+            assert checked_mutations["spill"] > 0
+            return
+        compiled = compile_function(function, machine, config)
+        assert checked_mutations["build"] > 0
+        for block_name, block in compiled.blocks.items():
+            solution = block.solution
+            _assert_index_matches_scan(solution.graph)
+            # Codec decode: the graph is rebuilt from a JSON payload.
+            payload = json.loads(json.dumps(solution_to_dict(solution)))
+            decoded = solution_from_dict(
+                payload, function.block(block_name).dag, machine
+            )
+            _assert_index_matches_scan(decoded.graph)
+            # Memo clone: the copy rebuilds its own index, and a
+            # mutation of the copy leaves the original's index intact.
+            clone = _clone_solution(solution)
+            _assert_index_matches_scan(clone.graph)
+            if clone.graph.tasks:
+                clone.graph.remove_tasks([max(clone.graph.tasks)])
+                _assert_index_matches_scan(clone.graph)
+                _assert_index_matches_scan(solution.graph)
+
+    def test_sweep_reaches_every_mutation(self, checked_mutations):
+        # The corpus cases that exercise the rarer spill branches and a
+        # peephole removal; if they stop doing so, the sweep above no
+        # longer checks those mutations.
+        for stem in ("gen-09", "gen-12", "gen-15"):
+            function, machine, config, error = _program(
+                "corpus", f"{stem}.json", None
+            )
+            try:
+                compile_function(function, machine, config)
+            except CoverageError:
+                assert error is CoverageError
+        for event in (
+            "spill.pending_transfer",
+            "spill.store_rewrite",
+            "peephole.remove",
+        ):
+            assert checked_mutations[event] > 0, event
+
+    def test_rewire_reads_moves_consumer(self, fig2_dag, arch1):
+        graph = _graph_for(fig2_dag, arch1)
+        op = next(
+            t for t in graph.tasks.values()
+            if t.kind is TaskKind.OP and t.reads[0].producer is not None
+        )
+        old = op.reads[0].producer
+        assert op.task_id in graph.consumers_of(old)
+        graph.rewire_reads(
+            op.task_id, (ReadRef(None, "DM", op.reads[0].value),)
+            + op.reads[1:]
+        )
+        assert op.task_id not in graph.consumers_of(old)
+        _assert_index_matches_scan(graph)
+
+    def test_remove_tasks_drops_reader(self, fig2_dag, arch1):
+        graph = _graph_for(fig2_dag, arch1)
+        store = next(
+            t for t in graph.tasks.values() if t.store_symbol == "out"
+        )
+        producer = store.reads[0].producer
+        assert graph.consumers_of(producer) == [store.task_id]
+        graph.remove_tasks([store.task_id])
+        assert graph.consumers_of(producer) == []
+        _assert_index_matches_scan(graph)
+
+    def test_new_task_joins_its_producers_readers(self, fig2_dag, arch1):
+        graph = _graph_for(fig2_dag, arch1)
+        store = next(
+            t for t in graph.tasks.values() if t.store_symbol == "out"
+        )
+        producer = store.reads[0].producer
+        assert graph.consumers_of(producer) == [store.task_id]
+        copy_id = graph._new_task(
+            kind=TaskKind.XFER,
+            resource=store.bus,
+            value=store.value,
+            reads=store.reads,
+            dest_storage=store.dest_storage,
+            bus=store.bus,
+            source_storage=store.source_storage,
+        )
+        assert graph.consumers_of(producer) == [store.task_id, copy_id]
+        _assert_index_matches_scan(graph)

@@ -1,10 +1,21 @@
 """Tests for liveness, interference, and graph-coloring allocation."""
 
+import json
+from pathlib import Path
+
 import pytest
 
+import repro.peephole.optimizer as peephole_optimizer
+import repro.regalloc.interference as interference_module
+import repro.regalloc.liveness as liveness_module
+from repro.asmgen.program import compile_function
 from repro.covering import HeuristicConfig, generate_block_solution
-from repro.errors import RegisterAllocationError
+from repro.errors import CoverageError, RegisterAllocationError
+from repro.eval import WORKLOADS
+from repro.frontend import compile_source
+from repro.fuzz import load_case
 from repro.ir import BlockDAG, Opcode
+from repro.isdl import example_architecture, fig6_architecture, parse_machine
 from repro.regalloc import (
     InterferenceGraph,
     allocate_registers,
@@ -145,3 +156,145 @@ class TestAllocator:
             for regs in (2, 3, 4):
                 solution = self._solution(regs, build_wide_dag(width))
                 allocate_registers(solution)  # must not raise
+
+
+# ----------------------------------------------------------------------
+# Differential: linear liveness against a quadratic reference
+# ----------------------------------------------------------------------
+
+REPO = Path(__file__).parent.parent
+CORPUS_FILES = sorted((REPO / "tests" / "corpus").glob("*.json"))
+MACHINE_FILES = sorted((REPO / "machines").glob("*.isdl"))
+
+
+def _reference_live_ranges(solution):
+    """Live ranges found by scanning every task for the readers of each
+    delivery: quadratic, and independent of the consumer index."""
+    graph = solution.graph
+    cycle_of = {}
+    for cycle, members in enumerate(solution.schedule):
+        for task_id in members:
+            cycle_of[task_id] = cycle
+    banks = {rf.name for rf in graph.machine.register_files}
+    ranges = {}
+    for delivery_id in sorted(graph.tasks):
+        task = graph.tasks[delivery_id]
+        if task.dest_storage not in banks:
+            continue
+        if delivery_id not in cycle_of:
+            continue
+        def_cycle = cycle_of[delivery_id]
+        uses = [
+            cycle_of[reader_id]
+            for reader_id, reader in graph.tasks.items()
+            if reader_id in cycle_of
+            and any(r.producer == delivery_id for r in reader.reads)
+        ]
+        last_use = (
+            max(uses) if uses else def_cycle + graph.latency(delivery_id)
+        )
+        if delivery_id in graph.pinned:
+            last_use = max(last_use, len(solution.schedule))
+        ranges[delivery_id] = LiveRange(
+            delivery_id, task.dest_storage, def_cycle, last_use
+        )
+    return ranges
+
+
+def _reference_profile(solution):
+    length = len(solution.schedule)
+    profile = {
+        rf.name: [0] * length
+        for rf in solution.graph.machine.register_files
+    }
+    for live in _reference_live_ranges(solution).values():
+        for cycle in range(live.def_cycle, length):
+            if cycle < live.last_use_cycle:
+                profile[live.bank][cycle] += 1
+    return profile
+
+
+@pytest.fixture
+def checked_liveness(monkeypatch):
+    """Compare every liveness computation the pipeline makes (peephole's
+    and the allocator's) with the reference; returns the call count."""
+    calls = []
+    ranges_of = liveness_module.compute_live_ranges
+    profile_of = liveness_module.pressure_profile
+
+    def checked_ranges(solution):
+        ranges = ranges_of(solution)
+        assert ranges == _reference_live_ranges(solution)
+        calls.append("ranges")
+        return ranges
+
+    def checked_profile(solution, ranges=None):
+        profile = profile_of(solution, ranges)
+        assert profile == _reference_profile(solution)
+        calls.append("profile")
+        return profile
+
+    monkeypatch.setattr(
+        peephole_optimizer, "compute_live_ranges", checked_ranges
+    )
+    monkeypatch.setattr(peephole_optimizer, "pressure_profile", checked_profile)
+    monkeypatch.setattr(
+        interference_module, "compute_live_ranges", checked_ranges
+    )
+    return calls
+
+
+def _liveness_cases():
+    machines = [
+        (path.stem, lambda path=path: parse_machine(path.read_text()))
+        for path in MACHINE_FILES
+    ]
+    machines += [
+        ("arch1_r2", lambda: example_architecture(2)),
+        ("fig6_r2", lambda: fig6_architecture(2)),
+    ]
+    for load in WORKLOADS:
+        for machine_name, make_machine in machines:
+            yield pytest.param(
+                load, make_machine, id=f"{load.name}@{machine_name}"
+            )
+
+
+def _assert_final_liveness(compiled):
+    for block in compiled.blocks.values():
+        solution = block.solution
+        ranges = compute_live_ranges(solution)
+        assert ranges == _reference_live_ranges(solution)
+        assert pressure_profile(solution) == _reference_profile(solution)
+        assert pressure_profile(solution, ranges) == _reference_profile(
+            solution
+        )
+
+
+class TestLivenessDifferential:
+    @pytest.mark.parametrize("load,make_machine", _liveness_cases())
+    def test_examples_on_bundled_machines(
+        self, checked_liveness, load, make_machine
+    ):
+        compiled = compile_function(
+            compile_source(load.source, name=load.name), make_machine()
+        )
+        assert checked_liveness
+        _assert_final_liveness(compiled)
+
+    @pytest.mark.parametrize(
+        "path", CORPUS_FILES, ids=lambda path: path.stem
+    )
+    def test_corpus(self, checked_liveness, path):
+        case = load_case(path)
+        expected = json.loads(path.read_text())["expected"]["outcome"]
+        function = compile_source(case.source)
+        machine = parse_machine(case.machine_isdl)
+        if expected == "coverage":
+            with pytest.raises(CoverageError):
+                compile_function(function, machine, case.heuristic_config())
+            return
+        compiled = compile_function(
+            function, machine, case.heuristic_config()
+        )
+        _assert_final_liveness(compiled)
