@@ -30,7 +30,11 @@ from typing import Dict, FrozenSet, List, Optional, Set
 from repro.ir.dag import BlockDAG
 from repro.isdl.model import Machine
 from repro.covering.config import HeuristicConfig
-from repro.covering.cover import _build_cliques, _lookahead_estimate
+from repro.covering.cover import (
+    LookaheadProfile,
+    _build_cliques,
+    lookahead_bound,
+)
 from repro.covering.engine import generate_block_solution
 from repro.covering.taskgraph import TaskGraph
 from repro.covering.assignment import explore_assignments
@@ -151,7 +155,11 @@ def optimal_block_cost(
                     exhausted = True
                     break
                 remaining = set(all_tasks - covered)
-                if depth + _lookahead_estimate(graph, remaining) >= best:
+                # ``covered`` only ever grows by ready tasks, so
+                # ``remaining`` holds every consumer of its members and
+                # the bound is exact over it.
+                bound = lookahead_bound(LookaheadProfile(graph, remaining))
+                if depth + bound >= best:
                     continue
                 known = memo.get(covered)
                 if known is not None and known <= depth:

@@ -5,7 +5,14 @@ number of remaining uncovered *ready* tasks (tasks whose children have
 all been covered — so a schedule falls out of the selection order) whose
 register requirements stay within the per-bank liveness upper bound.
 Ties are broken by a lookahead estimate of the number of cliques still
-needed.  When no clique is register-feasible, a covered value is chosen
+needed, :func:`lookahead_bound`: the busiest resource's task count or
+the longest dependence chain left uncovered, whichever is larger.  The
+uncovered set always holds every consumer of its tasks, so the chain
+term is the largest whole-graph chain height
+(:meth:`TaskGraph.heights`) in it, and :class:`LookaheadProfile` keeps
+per-resource and per-height counts of that set, updated per committed
+clique, so each candidate is priced in O(|clique|) with no sort.  When
+no clique is register-feasible, a covered value is chosen
 for spilling — based on the most-needed bank and the number of reloads
 the spill will cause — the task graph is augmented with load/spill
 transfers (Fig. 9), and the maximal cliques are regenerated.
@@ -28,7 +35,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import CoverageError
 from repro.covering.cliques import (
@@ -44,7 +51,6 @@ from repro.covering.pressure import PressureTracker
 from repro.covering.taskgraph import TaskGraph
 from repro.telemetry.session import current as _telemetry
 from repro.utils.bitset import bits, iter_bits, mask_of, popcount
-from repro.utils.graph import topological_order
 
 
 @dataclass
@@ -86,8 +92,7 @@ _STEP_ALTERNATIVES_CAP = 16
 
 def _journal_step(
     jr,
-    graph: TaskGraph,
-    uncovered: Set[int],
+    profile: LookaheadProfile,
     now: int,
     chosen: List[int],
     feasible: List[List[int]],
@@ -99,15 +104,10 @@ def _journal_step(
 
     ``chosen``/``feasible``/``top`` arrive as sorted member-id lists so
     the frozenset and bitmask kernels journal byte-identically.  The
-    lookahead estimates are recomputed here for *every* candidate — the
+    lookahead bounds are computed here for *every* candidate — the
     selection itself only computes them on a top-size tie — so the entry
     can always say what the tie-break saw (or would have seen).
     """
-    order = _uncovered_order(graph, uncovered)
-
-    def estimate(members: List[int]) -> int:
-        return _lookahead_estimate(graph, uncovered - set(members), order)
-
     top_keys = {tuple(c) for c in top}
     losers = sorted(
         (c for c in feasible if c != chosen), key=lambda c: (-len(c), c)
@@ -120,13 +120,13 @@ def _journal_step(
         chosen={
             "members": chosen,
             "size": len(chosen),
-            "lookahead": estimate(chosen),
+            "lookahead": lookahead_bound(profile, chosen),
         },
         alternatives=[
             {
                 "members": c,
                 "size": len(c),
-                "lookahead": estimate(c),
+                "lookahead": lookahead_bound(profile, c),
                 "top_tie": tuple(c) in top_keys,
             }
             for c in losers
@@ -153,50 +153,79 @@ def _build_cliques(
     return legalize_cliques(graph, as_tasks, graph.machine)
 
 
-def _uncovered_order(graph: TaskGraph, uncovered: Set[int]) -> List[int]:
-    """A topological order of the uncovered tasks (consumers first).
+class LookaheadProfile:
+    """The uncovered task set, reduced to what :func:`lookahead_bound`
+    reads: its task count per resource and per chain height.
 
-    Computed once per lookahead tie-break and shared by every candidate:
-    the restriction of a valid topological order to any subset is a
-    valid topological order of the induced subgraph, so
-    :func:`_lookahead_estimate` can filter instead of re-sorting."""
-    adjacency = {
-        t: [d for d in graph.tasks[t].dependencies() if d in uncovered]
-        for t in sorted(uncovered)
-    }
-    return topological_order(adjacency)
+    Covering removes tasks producers first, so the uncovered set always
+    holds every consumer of its members (it is *downward-closed*).  Then
+    the longest dependence chain inside it is the largest
+    :meth:`TaskGraph.heights` value among its tasks, because every chain
+    that leaves an uncovered task stays uncovered.  Heights are a
+    property of the whole graph, so the profile is built once in
+    O(|uncovered|), updated in O(|clique|) per committed clique, and
+    rebuilt only after a spill rewires the graph.
+    """
+
+    def __init__(self, graph: TaskGraph, uncovered: Iterable[int]) -> None:
+        self.tasks = graph.tasks
+        self.heights = graph.heights()
+        self.per_resource: Dict[str, int] = {}
+        #: ``per_height[h]`` = uncovered tasks of height ``h``.
+        self.per_height: List[int] = [0]
+        for task_id in uncovered:
+            resource = self.tasks[task_id].resource
+            self.per_resource[resource] = (
+                self.per_resource.get(resource, 0) + 1
+            )
+            height = self.heights[task_id]
+            while len(self.per_height) <= height:
+                self.per_height.append(0)
+            self.per_height[height] += 1
+        #: the greatest height with an uncovered task (0 when empty).
+        self.top = len(self.per_height) - 1
+
+    def remove(self, members: Iterable[int]) -> None:
+        """Take the covered ``members`` out of the profile."""
+        for task_id in members:
+            self.per_resource[self.tasks[task_id].resource] -= 1
+            self.per_height[self.heights[task_id]] -= 1
+        while self.top and not self.per_height[self.top]:
+            self.top -= 1
 
 
-def _lookahead_estimate(
-    graph: TaskGraph,
-    remaining: Set[int],
-    order: Optional[List[int]] = None,
+def lookahead_bound(
+    profile: LookaheadProfile, members: Iterable[int] = ()
 ) -> int:
-    """Lower-bound style estimate of cliques needed for ``remaining``:
-    the busiest resource's task count, or the longest dependence chain,
-    whichever is larger.  ``order`` is an optional precomputed
-    topological order of a superset of ``remaining``."""
-    if not remaining:
-        return 0
-    per_resource: Dict[str, int] = {}
-    for task_id in remaining:
-        resource = graph.tasks[task_id].resource
-        per_resource[resource] = per_resource.get(resource, 0) + 1
-    resource_bound = max(per_resource.values())
-    # Longest dependence chain within the remaining tasks.  Spill/reload
-    # rewiring can make ascending task ids non-topological, so order
-    # properly.
-    if order is None:
-        order = _uncovered_order(graph, remaining)
-    ordered = [t for t in order if t in remaining]
-    depth: Dict[int, int] = {}
-    for task_id in reversed(ordered):
-        best = 0
-        for dependency in graph.tasks[task_id].dependencies():
-            if dependency in remaining:
-                best = max(best, depth[dependency])
-        depth[task_id] = best + 1
-    return max(resource_bound, max(depth.values()))
+    """Lower bound on the cliques still needed once ``members`` issue:
+    the busiest resource's task count or the longest dependence chain of
+    the uncovered tasks left, whichever is larger (paper IV-D's
+    lookahead estimate).
+
+    ``members`` must be ready: none of its tasks may consume another
+    uncovered task.  Then what is left stays downward-closed and the
+    bound is exact, in O(|members| + #resources).
+    """
+    by_resource: Dict[str, int] = {}
+    by_height: Dict[int, int] = {}
+    for task_id in members:
+        resource = profile.tasks[task_id].resource
+        by_resource[resource] = by_resource.get(resource, 0) + 1
+        height = profile.heights[task_id]
+        by_height[height] = by_height.get(height, 0) + 1
+    busiest = max(
+        (
+            count - by_resource.get(resource, 0)
+            for resource, count in profile.per_resource.items()
+        ),
+        default=0,
+    )
+    # A downward-closed set has a task at every height up to its top,
+    # so this walks down at most one level per member.
+    chain = profile.top
+    while chain and profile.per_height[chain] == by_height.get(chain, 0):
+        chain -= 1
+    return max(busiest, chain)
 
 
 def _feasible_subset(
@@ -489,6 +518,7 @@ def _cover_loop(
     issue_cycle: Dict[int, int] = {}
     uncovered = set(graph.task_ids())
     cliques = _build_cliques(graph, sorted(uncovered), config)
+    profile = LookaheadProfile(graph, uncovered)
     spills_done = 0
     focus: Optional[int] = None
     focus_bank: str = ""
@@ -564,21 +594,16 @@ def _cover_loop(
             tie = len(top) > 1 and config.lookahead
             if tie:
                 stats.lookahead_ties += 1
-                order = _uncovered_order(graph, uncovered)
                 chosen = min(
                     top,
-                    key=lambda c: (
-                        _lookahead_estimate(graph, uncovered - c, order),
-                        sorted(c),
-                    ),
+                    key=lambda c: (lookahead_bound(profile, c), sorted(c)),
                 )
             else:
                 chosen = min(top, key=lambda c: sorted(c))
             if jr.enabled:
                 _journal_step(
                     jr,
-                    graph,
-                    uncovered,
+                    profile,
                     now,
                     sorted(chosen),
                     [sorted(c) for c in feasible],
@@ -587,6 +612,7 @@ def _cover_loop(
                     via_subset,
                 )
             tracker.commit(chosen)
+            profile.remove(chosen)
             covered |= chosen
             uncovered -= chosen
             for task_id in chosen:
@@ -619,6 +645,7 @@ def _cover_loop(
         uncovered = set(graph.task_ids()) - covered
         tracker.rebuild(schedule)
         cliques = _build_cliques(graph, sorted(uncovered), config)
+        profile = LookaheadProfile(graph, uncovered)
 
     # A pinned value (branch condition) must have completed by the time
     # the control slot after the block body reads it: pad with NOPs if a
@@ -842,6 +869,7 @@ def _cover_loop_masks(
     cache.build(graph, sorted(uncovered), config)
     state = _ReadyState(graph, covered, issue_cycle, 0)
     dest_masks = _dest_masks(graph)
+    profile = LookaheadProfile(graph, uncovered)
     spills_done = 0
     focus: Optional[int] = None
     focus_bank: str = ""
@@ -908,15 +936,10 @@ def _cover_loop_masks(
             tie = len(top) > 1 and config.lookahead
             if tie:
                 stats.lookahead_ties += 1
-                order = _uncovered_order(graph, uncovered)
                 chosen = min(
                     top,
                     key=lambda c: (
-                        _lookahead_estimate(
-                            graph,
-                            set(iter_bits(uncovered_mask & ~c)),
-                            order,
-                        ),
+                        lookahead_bound(profile, iter_bits(c)),
                         bits(c),
                     ),
                 )
@@ -926,8 +949,7 @@ def _cover_loop_masks(
             if jr.enabled:
                 _journal_step(
                     jr,
-                    graph,
-                    uncovered,
+                    profile,
                     now,
                     list(chosen_ids),
                     [list(bits(c)) for c in feasible],
@@ -936,6 +958,7 @@ def _cover_loop_masks(
                     via_subset,
                 )
             tracker.commit(chosen_ids)
+            profile.remove(chosen_ids)
             covered.update(chosen_ids)
             uncovered.difference_update(chosen_ids)
             uncovered_mask &= ~chosen
@@ -976,6 +999,7 @@ def _cover_loop_masks(
         cache.rebuild(graph, sorted(uncovered), config)
         state.reset(graph, covered, issue_cycle, now)
         dest_masks = _dest_masks(graph)
+        profile = LookaheadProfile(graph, uncovered)
 
     for delivery in sorted(graph.pinned):
         available = issue_cycle[delivery] + graph.latency(delivery)

@@ -116,8 +116,10 @@ class Task:
 class TaskGraph:
     """The schedulable form of one assignment (mutable under spilling).
 
-    Change ``tasks`` and task ``reads`` only through this class's
-    methods: they drop the consumer index behind :meth:`consumers_of`.
+    Change ``tasks`` and the ``reads``, ``extra_after``, ``resource`` and
+    ``dest_storage`` of a task only through this class's methods: they
+    drop the derived indexes behind :meth:`consumers_of` and
+    :meth:`heights`.
     """
 
     def __init__(
@@ -161,10 +163,10 @@ class TaskGraph:
         return graph
 
     def __getstate__(self) -> dict:
-        # The consumer index is derived: copies (memo clones) and pickles
-        # leave it behind and rebuild it on first use.
+        # The indexes are derived: copies (memo clones) and pickles leave
+        # them behind and rebuild them on first use.
         state = self.__dict__.copy()
-        state["_consumers"] = None
+        state["_derived"] = {}
         return state
 
     def _init_state(
@@ -176,10 +178,11 @@ class TaskGraph:
         self.assignment = assignment
         self.tasks: Dict[int, Task] = {}
         self._ids = ids
-        #: producer task id -> ascending ids of the tasks that read it;
-        #: built on first use and dropped by every mutation of ``tasks``
-        #: or of a task's ``reads`` (see :meth:`consumers_of`).
-        self._consumers: Optional[Dict[int, List[int]]] = None
+        #: Indexes derived from ``tasks``, each built on first use:
+        #: ``"consumers"`` (see :meth:`consumers_of`) and ``"heights"``
+        #: (see :meth:`heights`).  Every mutation drops them all at once
+        #: through :meth:`_invalidate`.
+        self._derived: Dict[str, Dict[int, object]] = {}
         #: (value original id, storage) -> delivering task id; a value may
         #: be re-delivered after a spill, in which case this tracks the
         #: *latest* delivery (used only during construction).
@@ -247,8 +250,10 @@ class TaskGraph:
                 t for t in sorted(readers.get(symbol, [])) if t != store_id
             )
             if blocking:
-                store = self.tasks[store_id]
-                store.extra_after = store.extra_after + blocking
+                self._update_task(
+                    store_id,
+                    extra_after=self.tasks[store_id].extra_after + blocking,
+                )
 
     def _ops_in_schedule_order(self):
         order = {
@@ -521,28 +526,39 @@ class TaskGraph:
         self.pinned.add(read.producer)
         self.condition_read: Optional[ReadRef] = read
 
+    # ------------------------------------------------------------------
+    # Mutation (every change to ``tasks`` or to a task's edges or
+    # resources goes through a method of this class, so the derived
+    # indexes stay true)
+    # ------------------------------------------------------------------
+
+    def _invalidate(self) -> None:
+        """Drop every derived index; the next query rebuilds it."""
+        self._derived = {}
+
     def _new_task(self, **kwargs) -> int:
         task_id = self._ids.allocate()
         self.tasks[task_id] = Task(task_id=task_id, **kwargs)
-        self._consumers = None
+        self._invalidate()
         return task_id
 
-    # ------------------------------------------------------------------
-    # Mutation (every change to ``tasks`` or to a task's ``reads`` goes
-    # through a method of this class, so the consumer index stays true)
-    # ------------------------------------------------------------------
+    def _update_task(self, task_id: int, **fields) -> None:
+        """Assign ``fields`` on the task ``task_id``."""
+        task = self.tasks[task_id]
+        for name, value in fields.items():
+            setattr(task, name, value)
+        self._invalidate()
 
     def rewire_reads(self, task_id: int, reads: Iterable[ReadRef]) -> None:
         """Replace the values ``task_id`` consumes with ``reads``."""
-        self.tasks[task_id].reads = tuple(reads)
-        self._consumers = None
+        self._update_task(task_id, reads=tuple(reads))
 
     def remove_tasks(self, task_ids: Iterable[int]) -> None:
         """Delete tasks.  Their readers are left to the caller to rewire;
         bus loads and spill counters are not adjusted."""
         for task_id in task_ids:
             del self.tasks[task_id]
-        self._consumers = None
+        self._invalidate()
 
     # ------------------------------------------------------------------
     # Queries
@@ -577,9 +593,10 @@ class TaskGraph:
 
     def consumers_of(self, task_id: int) -> List[int]:
         """Tasks that read the delivery made by ``task_id``, ascending."""
-        if self._consumers is None:
-            self._consumers = self._index_consumers()
-        return list(self._consumers.get(task_id, ()))
+        consumers = self._derived.get("consumers")
+        if consumers is None:
+            consumers = self._derived["consumers"] = self._index_consumers()
+        return list(consumers.get(task_id, ()))
 
     def _index_consumers(self) -> Dict[int, List[int]]:
         """One pass over the tasks in id order: each producer's readers,
@@ -593,6 +610,47 @@ class TaskGraph:
                 if not readers or readers[-1] != task_id:
                     readers.append(task_id)
         return index
+
+    def heights(self) -> Dict[int, int]:
+        """task id -> the number of tasks on the longest dependence chain
+        from it to a sink of the graph (a sink has height 1).
+
+        Chains follow value reads and ``extra_after`` anti-dependences,
+        so a schedule needs at least ``heights()[t]`` instructions from
+        the one issuing ``t`` on.  The mapping is shared: do not mutate
+        it.
+        """
+        heights = self._derived.get("heights")
+        if heights is None:
+            heights = self._derived["heights"] = self._index_heights()
+        return heights
+
+    def _index_heights(self) -> Dict[int, int]:
+        """One pass in topological order, consumers before producers
+        (Kahn's algorithm on the reversed edges): a task's height is
+        final once all the tasks that depend on it are done, and is
+        pushed to each of its dependencies.  Reads of deleted tasks (a
+        graph between a removal and its rewiring) are ignored."""
+        dependencies = {
+            task_id: [d for d in task.dependencies() if d in self.tasks]
+            for task_id, task in self.tasks.items()
+        }
+        waiting = dict.fromkeys(self.tasks, 0)
+        for deps in dependencies.values():
+            for dependency in deps:
+                waiting[dependency] += 1
+        heights = dict.fromkeys(self.tasks, 1)
+        stack = [task_id for task_id, n in waiting.items() if not n]
+        while stack:
+            task_id = stack.pop()
+            above = heights[task_id] + 1
+            for dependency in dependencies[task_id]:
+                if heights[dependency] < above:
+                    heights[dependency] = above
+                waiting[dependency] -= 1
+                if not waiting[dependency]:
+                    stack.append(dependency)
+        return heights
 
     def deliveries_into(self, storage: str) -> List[int]:
         """Tasks that write a value into ``storage``."""
@@ -730,10 +788,14 @@ class TaskGraph:
             if destination == dm:
                 # Store or earlier spill: rewrite to copy straight from
                 # the spill slot in memory.
-                self.rewire_reads(consumer_id, (memory_read,))
-                consumer.source_storage = dm
-                consumer.bus = self._dm_bus()
-                consumer.resource = consumer.bus
+                bus = self._dm_bus()
+                self._update_task(
+                    consumer_id,
+                    reads=(memory_read,),
+                    source_storage=dm,
+                    bus=bus,
+                    resource=bus,
+                )
                 continue
             replacement = reload_into(destination)
             for downstream_id in self.consumers_of(consumer_id):

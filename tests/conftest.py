@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.errors import CoverageError
+from repro.eval import WORKLOADS
+from repro.frontend import compile_source
+from repro.fuzz import load_case
 from repro.ir import BasicBlock, BlockDAG, Function, Opcode
 from repro.isdl import (
     architecture_two,
@@ -15,8 +21,49 @@ from repro.isdl import (
     example_architecture,
     fig6_architecture,
     mac_dsp_architecture,
+    parse_machine,
     single_unit_architecture,
 )
+
+REPO = Path(__file__).parent.parent
+CORPUS_FILES = sorted((REPO / "tests" / "corpus").glob("*.json"))
+MACHINE_FILES = sorted((REPO / "machines").glob("*.isdl"))
+
+#: Two-register files make both machines spill on every paper example.
+SPILL_MACHINES = {
+    "arch1_r2": lambda: example_architecture(2),
+    "fig6_r2": lambda: fig6_architecture(2),
+}
+
+
+def load_program(kind, name, machine_name):
+    """``(function, machine, config, expected_error)`` for one sweep case.
+
+    ``kind`` is ``"workload"`` (a paper example ``name`` on a
+    :data:`SPILL_MACHINES` key or a ``machines/`` file name) or
+    ``"corpus"`` (the reproducer file ``name`` on its own machine and
+    configuration, with the error its expected outcome names).
+    """
+    if kind == "workload":
+        load = next(w for w in WORKLOADS if w.name == name)
+        function = compile_source(load.source, name=load.name)
+        if machine_name in SPILL_MACHINES:
+            machine = SPILL_MACHINES[machine_name]()
+        else:
+            machine = parse_machine(
+                (REPO / "machines" / machine_name).read_text()
+            )
+        return function, machine, None, None
+    path = REPO / "tests" / "corpus" / name
+    case = load_case(path)
+    outcome = json.loads(path.read_text())["expected"]["outcome"]
+    error = CoverageError if outcome == "coverage" else None
+    return (
+        compile_source(case.source),
+        parse_machine(case.machine_isdl),
+        case.heuristic_config(),
+        error,
+    )
 
 
 @pytest.fixture(autouse=True)

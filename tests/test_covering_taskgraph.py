@@ -1,8 +1,9 @@
 """Tests for task-graph materialisation and spill insertion (Fig. 9)."""
 
 import collections
+import copy
 import json
-from pathlib import Path
+import pickle
 
 import pytest
 
@@ -18,12 +19,11 @@ from repro.covering.engine import _clone_solution
 from repro.covering.taskgraph import ReadRef
 from repro.errors import CoverageError
 from repro.eval import WORKLOADS
-from repro.frontend import compile_source
-from repro.fuzz import load_case
 from repro.ir import BlockDAG, Opcode
-from repro.isdl import example_architecture, fig6_architecture, parse_machine
 from repro.serve.codec import solution_from_dict, solution_to_dict
 from repro.sndag import build_split_node_dag
+
+from conftest import CORPUS_FILES, SPILL_MACHINES, load_program
 
 
 def _graph_for(dag, machine, index=0, pin_value=None, config=None):
@@ -273,17 +273,8 @@ class TestSpilling:
 
 
 # ----------------------------------------------------------------------
-# The consumer index against a brute-force scan
+# The derived indexes (consumers, heights) against brute-force scans
 # ----------------------------------------------------------------------
-
-REPO = Path(__file__).parent.parent
-CORPUS_FILES = sorted((REPO / "tests" / "corpus").glob("*.json"))
-
-#: Two-register files make both machines spill on every paper example.
-SPILL_MACHINES = {
-    "arch1_r2": lambda: example_architecture(2),
-    "fig6_r2": lambda: fig6_architecture(2),
-}
 
 
 def _scanned_consumers(graph, producer):
@@ -294,6 +285,25 @@ def _scanned_consumers(graph, producer):
         for task_id in sorted(graph.tasks)
         if any(r.producer == producer for r in graph.tasks[task_id].reads)
     ]
+
+
+def _scanned_heights(graph):
+    """Reference: each task's longest chain to a sink, by memoised
+    recursion over a full scan for the tasks that depend on it."""
+    dependents = {
+        t: [u for u in graph.tasks if t in graph.tasks[u].dependencies()]
+        for t in graph.tasks
+    }
+    heights = {}
+
+    def height(task_id):
+        if task_id not in heights:
+            heights[task_id] = 1 + max(
+                (height(u) for u in dependents[task_id]), default=0
+            )
+        return heights[task_id]
+
+    return {t: height(t) for t in sorted(graph.tasks)}
 
 
 def _assert_index_matches_scan(graph):
@@ -308,6 +318,7 @@ def _assert_index_matches_scan(graph):
         assert graph.consumers_of(producer) == _scanned_consumers(
             graph, producer
         ), f"consumer index is stale for t{producer}"
+    assert graph.heights() == _scanned_heights(graph), "heights are stale"
 
 
 @pytest.fixture
@@ -370,30 +381,14 @@ def _index_cases():
         yield pytest.param("corpus", path.name, None, id=path.stem)
 
 
-def _program(kind, name, machine_name):
-    """``(function, machine, config, expected_error)`` for one case."""
-    if kind == "workload":
-        load = next(w for w in WORKLOADS if w.name == name)
-        function = compile_source(load.source, name=load.name)
-        return function, SPILL_MACHINES[machine_name](), None, None
-    path = REPO / "tests" / "corpus" / name
-    case = load_case(path)
-    outcome = json.loads(path.read_text())["expected"]["outcome"]
-    error = CoverageError if outcome == "coverage" else None
-    return (
-        compile_source(case.source),
-        parse_machine(case.machine_isdl),
-        case.heuristic_config(),
-        error,
-    )
-
-
 class TestConsumerIndex:
     @pytest.mark.parametrize("kind,name,machine_name", _index_cases())
     def test_index_matches_scan_through_pipeline(
         self, checked_mutations, kind, name, machine_name
     ):
-        function, machine, config, error = _program(kind, name, machine_name)
+        function, machine, config, error = load_program(
+            kind, name, machine_name
+        )
         if error is not None:
             # Covering gives up, but only after spilling: every spill on
             # the way was still checked.
@@ -426,7 +421,7 @@ class TestConsumerIndex:
         # peephole removal; if they stop doing so, the sweep above no
         # longer checks those mutations.
         for stem in ("gen-09", "gen-12", "gen-15"):
-            function, machine, config, error = _program(
+            function, machine, config, error = load_program(
                 "corpus", f"{stem}.json", None
             )
             try:
@@ -484,3 +479,28 @@ class TestConsumerIndex:
         )
         assert graph.consumers_of(producer) == [store.task_id, copy_id]
         _assert_index_matches_scan(graph)
+
+    def test_heights_follow_anti_dependences(self, fig2_dag, arch1):
+        graph = _graph_for(fig2_dag, arch1)
+        store = next(
+            t for t in graph.tasks.values() if t.store_symbol == "out"
+        )
+        sinks = [t for t, h in graph.heights().items() if h == 1]
+        assert store.task_id in sinks
+        # An anti-dependence behind every other task leaves the store
+        # the only sink, with everything else at least one level up.
+        others = tuple(t for t in graph.tasks if t != store.task_id)
+        graph._update_task(store.task_id, extra_after=others)
+        sinks = [t for t, h in graph.heights().items() if h == 1]
+        assert sinks == [store.task_id]
+        _assert_index_matches_scan(graph)
+
+    def test_copies_leave_the_indexes_behind(self, fig2_dag, arch1):
+        graph = _graph_for(fig2_dag, arch1)
+        bare = pickle.dumps(graph)
+        graph.consumers_of(min(graph.tasks))
+        graph.heights()
+        assert pickle.dumps(graph) == bare
+        clone = copy.deepcopy(graph)
+        assert pickle.dumps(clone) == bare
+        _assert_index_matches_scan(clone)
